@@ -1,4 +1,4 @@
-"""Hot-path perf harness: indexed vs reference vs vectorized engines.
+"""Hot-path perf harness: indexed vs reference engines.
 
 Times :func:`repro.optimizer.optimize` on the four classic join topologies
 (:mod:`repro.workload.topologies`) per strategy and engine, and writes the
@@ -14,16 +14,10 @@ Engines (see docs/architecture.md):
   scans, uncached builder, unordered pairwise-scan buckets).  Both
   engines share a few module-level pure-function memos, so recorded
   speedups *understate* the gap to the true pre-refactor seed.
-* ``vectorized`` — numpy array lanes over shape-blocked bucket pairs with
-  deferred plan materialisation.  EA-Prune's multi-plan buckets are where
-  the lanes amortise, so vectorized rows concentrate there, plus a few
-  heuristic/DP scale rows for coverage; all vectorized rows are skipped
-  (with a note) when numpy is unavailable.
 
-The harness asserts, per case, that every engine produces the same plan
+The harness asserts, per case, that both engines produce the same plan
 cost / ccp count / plans built, and (in full mode) that the committed
-EA-Prune speedup targets hold — reference→indexed and, where a
-vectorized row exists, indexed→vectorized.
+reference→indexed EA-Prune speedup targets hold.
 
 Usage::
 
@@ -57,24 +51,23 @@ from repro.optimizer.planinfo import clear_memo_caches
 from repro.optimizer.strategies import reset_prune_caches
 from repro.workload import topology_query
 
-SCHEMA = "bench-hotpath/v2"
+SCHEMA = "bench-hotpath/v3"
 
-#: Engine lists per case.  ``IRV`` rows are the headline three-way
-#: comparisons; ``IV`` rows are sizes where the reference engine would
-#: take tens of minutes (clique-8 EA-Prune) or adds nothing (scale rows).
+#: Engine lists per case.  ``IR`` rows are the headline comparisons;
+#: ``INDEXED`` rows are sizes where the reference engine would take tens
+#: of minutes (clique-8 EA-Prune) or adds nothing (scale rows).
 IR = ("indexed", "reference")
-IV = ("indexed", "vectorized")  # reference omitted: tens of minutes at these sizes
-IRV = ("indexed", "reference", "vectorized")
+INDEXED = ("indexed",)
 
 #: (topology, strategy, sizes, engines).  Ordered so the headline
 #: EA-Prune measurements land first, the cheap breadth next, and the
 #: slowest rows (clique-8, the scale rows) last — the JSON is written
 #: incrementally, so an interrupted run still leaves a usable artifact.
 FULL_CASES = [
-    ("chain", "ea-prune", [8, 10], IRV),
-    ("cycle", "ea-prune", [8, 10], IRV),
-    ("star", "ea-prune", [8, 10], IRV),
-    ("clique", "ea-prune", [6, 7], IRV),
+    ("chain", "ea-prune", [8, 10], IR),
+    ("cycle", "ea-prune", [8, 10], IR),
+    ("star", "ea-prune", [8, 10], IR),
+    ("clique", "ea-prune", [6, 7], IR),
     ("chain", "dphyp", [8, 10, 12, 14], IR),
     ("cycle", "dphyp", [8, 10, 12, 14], IR),
     ("star", "dphyp", [8, 10, 12, 14], IR),
@@ -85,20 +78,20 @@ FULL_CASES = [
     ("star", "h2", [8, 10, 12], IR),
     ("chain", "ea-all", [6], IR),
     ("star", "ea-all", [6], IR),
-    ("clique", "dphyp", [12], IV),
-    ("star", "h1", [16, 18], IV),
-    ("clique", "ea-prune", [8], IV),
+    ("clique", "dphyp", [12], INDEXED),
+    ("star", "h1", [16, 18], INDEXED),
+    ("clique", "ea-prune", [8], INDEXED),
 ]
 
 QUICK_CASES = [
-    ("chain", "ea-prune", [8], IRV),
-    ("star", "ea-prune", [8], IRV),
-    ("cycle", "ea-prune", [8], IRV),
-    ("clique", "ea-prune", [6], IRV),
-    ("chain", "dphyp", [8], ("indexed",)),
-    ("cycle", "dphyp", [8], ("indexed",)),
-    ("star", "dphyp", [8], ("indexed",)),
-    ("clique", "dphyp", [8], ("indexed",)),
+    ("chain", "ea-prune", [8], IR),
+    ("star", "ea-prune", [8], IR),
+    ("cycle", "ea-prune", [8], IR),
+    ("clique", "ea-prune", [6], IR),
+    ("chain", "dphyp", [8], INDEXED),
+    ("cycle", "dphyp", [8], INDEXED),
+    ("star", "dphyp", [8], INDEXED),
+    ("clique", "dphyp", [8], INDEXED),
 ]
 
 #: (topology, n, strategy) → minimum required reference/indexed speedup,
@@ -110,17 +103,6 @@ QUICK_CASES = [
 FULL_SPEEDUP_TARGETS = {
     ("chain", 10, "ea-prune"): 2.5,
     ("star", 10, "ea-prune"): 2.5,
-}
-
-#: (topology, n, strategy) → minimum required indexed/vectorized speedup.
-#: The lanes win where buckets are wide and shape-uniform (star EA-Prune:
-#: measured 1.33× at n=8, 1.17× at n=10) and lose where singleton
-#: block-pairs dominate (clique-8: measured 0.80×) — the star target
-#: asserts an outright win, the others bound the loss.
-VECTORIZED_SPEEDUP_TARGETS = {
-    ("star", 10, "ea-prune"): 1.0,
-    ("chain", 10, "ea-prune"): 0.8,
-    ("clique", 8, "ea-prune"): 0.7,
 }
 
 #: Per-measurement repetitions: re-run short cases and keep the minimum.
@@ -171,8 +153,8 @@ def _write(out_path: Path, payload: dict) -> None:
     os.replace(tmp, out_path)
 
 
-def _compute_speedups(cases: list, slow_engine: str, fast_engine: str) -> list:
-    """Pair up cases measured under both engines; speedup = slow/fast."""
+def _compute_speedups(cases: list) -> list:
+    """Pair up cases measured under both engines; speedup = reference/indexed."""
     by_key = {}
     for case in cases:
         by_key[(case["topology"], case["n"], case["strategy"], case["engine"])] = case
@@ -180,9 +162,9 @@ def _compute_speedups(cases: list, slow_engine: str, fast_engine: str) -> list:
     for (topology, n, strategy, engine), case in sorted(
         by_key.items(), key=lambda item: (item[0][0], item[0][1], item[0][2])
     ):
-        if engine != fast_engine:
+        if engine != "indexed":
             continue
-        slow = by_key.get((topology, n, strategy, slow_engine))
+        slow = by_key.get((topology, n, strategy, "reference"))
         if slow is None:
             continue
         speedups.append(
@@ -190,20 +172,12 @@ def _compute_speedups(cases: list, slow_engine: str, fast_engine: str) -> list:
                 "topology": topology,
                 "n": n,
                 "strategy": strategy,
-                f"{fast_engine}_seconds": case["seconds"],
-                f"{slow_engine}_seconds": slow["seconds"],
+                "indexed_seconds": case["seconds"],
+                "reference_seconds": slow["seconds"],
                 "speedup": slow["seconds"] / case["seconds"],
             }
         )
     return speedups
-
-
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def run(cases, out_path: Path, mode: str) -> dict:
@@ -215,32 +189,16 @@ def run(cases, out_path: Path, mode: str) -> dict:
         "generated_unix": int(time.time()),
         "cases": [],
         "speedups": [],
-        "vectorized_speedups": [],
     }
-    have_numpy = _numpy_available()
     mismatches = []
     for topology, strategy, sizes, engines in cases:
         for n in sizes:
             measured = {}
             for engine in engines:
-                if engine == "vectorized" and not have_numpy:
-                    # Timing the warn-and-fall-back path would record an
-                    # indexed run under a vectorized label — skip instead.
-                    print(
-                        f"vectorized {topology} n={n} {strategy}: "
-                        f"SKIPPED (numpy unavailable)",
-                        flush=True,
-                    )
-                    continue
                 case = _measure(topology, n, strategy, engine)
                 measured[engine] = case
                 payload["cases"].append(case)
-                payload["speedups"] = _compute_speedups(
-                    payload["cases"], "reference", "indexed"
-                )
-                payload["vectorized_speedups"] = _compute_speedups(
-                    payload["cases"], "indexed", "vectorized"
-                )
+                payload["speedups"] = _compute_speedups(payload["cases"])
                 _write(out_path, payload)
                 print(
                     f"{engine:10s} {topology:6s} n={n:2d} {strategy:8s}: "
@@ -350,12 +308,6 @@ def main(argv=None) -> int:
             payload["speedups"], FULL_SPEEDUP_TARGETS, "speedup"
         ):
             failed = True
-        if payload["vectorized_speedups"] and not check_speedup_targets(
-            payload["vectorized_speedups"],
-            VECTORIZED_SPEEDUP_TARGETS,
-            "vectorized speedup",
-        ):
-            failed = True
     if args.baseline:
         if not check_baseline(payload, Path(args.baseline), args.max_regression):
             failed = True
@@ -365,12 +317,6 @@ def main(argv=None) -> int:
             f"speedup {speedup['topology']:6s} n={speedup['n']:2d} "
             f"{speedup['strategy']:8s}: {speedup['speedup']:6.2f}x "
             f"({speedup['reference_seconds']:.3f}s -> {speedup['indexed_seconds']:.3f}s)"
-        )
-    for speedup in payload["vectorized_speedups"]:
-        print(
-            f"vectorized {speedup['topology']:6s} n={speedup['n']:2d} "
-            f"{speedup['strategy']:8s}: {speedup['speedup']:6.2f}x "
-            f"({speedup['indexed_seconds']:.3f}s -> {speedup['vectorized_seconds']:.3f}s)"
         )
     print(f"wrote {out_path}")
     return 1 if failed else 0

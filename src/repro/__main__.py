@@ -32,7 +32,7 @@ import random
 import sys
 from typing import List
 
-from repro.api import COST_MODELS, ENGINES, STRATEGIES, OptimizerConfig, PlannerSession
+from repro.api import COST_MODELS, STRATEGIES, OptimizerConfig, PlannerSession
 from repro.query.spec import Query
 
 SUBCOMMANDS = ("explain", "batch", "serve")
@@ -55,13 +55,6 @@ def _add_strategy_options(parser: argparse.ArgumentParser) -> None:
         default="cout",
         help="cost model pricing the plans (default: cout)",
     )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="indexed",
-        help="driver code path; all engines produce identical plans "
-        "(default: indexed)",
-    )
 
 
 def _config_from(args: argparse.Namespace, **overrides) -> OptimizerConfig:
@@ -69,7 +62,6 @@ def _config_from(args: argparse.Namespace, **overrides) -> OptimizerConfig:
         strategy=args.strategy,
         factor=args.factor,
         cost_model=args.cost_model,
-        engine=args.engine,
         **overrides,
     )
 
@@ -286,7 +278,6 @@ def run_serve(argv) -> int:
             strategy=args.strategy,
             factor=args.factor,
             cost_model=args.cost_model,
-            engine=args.engine,
             cache_capacity=None if args.no_cache else args.cache_size,
             request_timeout_seconds=args.timeout,
             drain_grace_seconds=args.grace,
@@ -310,7 +301,6 @@ def run_serve(argv) -> int:
     print(
         f"repro plan server listening on {server.url}  "
         f"(workers={config.effective_workers}, strategy={config.strategy}, "
-        f"engine={config.engine}, "
         f"cache={'off' if config.cache_capacity in (None, 0) else config.cache_capacity})",
         flush=True,
     )
@@ -345,7 +335,6 @@ def _run_serve_async(args) -> int:
             strategy=args.strategy,
             factor=args.factor,
             cost_model=args.cost_model,
-            engine=args.engine,
             cache_capacity=args.cache_size,
             request_timeout_seconds=args.timeout,
             drain_grace_seconds=args.grace,
@@ -378,7 +367,7 @@ def _run_serve_async(args) -> int:
         print(
             f"repro plan server listening on {server.url}  "
             f"(async, shards={server.service.supervisor.shards}, "
-            f"strategy={config.strategy}, engine={config.engine}, "
+            f"strategy={config.strategy}, "
             f"cache={config.cache_capacity}/shard"
             f"{', dir=' + config.cache_dir if config.cache_dir else ''})",
             flush=True,

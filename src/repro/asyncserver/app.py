@@ -458,10 +458,6 @@ class AsyncPlanService:
         payload["degradation"] = self.config.degradation
         payload["plans"] = _merge_plans(details)
         payload["executions"] = _merge_executions(details)
-        payload["engine"] = {
-            "requested": self.config.engine,
-            "effective": payload["plans"]["by_engine"],
-        }
         payload["persistence"] = self.supervisor.persistence
         payload["cache"] = _merge_caches(details)
         payload["route_cache"] = {
@@ -496,7 +492,6 @@ def _merge_plans(details) -> dict:
     served = hits = misses = failures = degraded = timeouts = 0
     stale_served = recosted = replanned = 0
     by_strategy: Counter = Counter()
-    by_engine: Counter = Counter()
     for detail in details:
         plans = detail.get("plans", {})
         served += plans.get("served", 0)
@@ -509,7 +504,6 @@ def _merge_plans(details) -> dict:
         recosted += plans.get("recosted", 0)
         replanned += plans.get("replanned", 0)
         by_strategy.update(plans.get("by_strategy", {}))
-        by_engine.update(plans.get("by_engine", {}))
     return {
         "served": served,
         "cache_hits": hits,
@@ -522,7 +516,6 @@ def _merge_plans(details) -> dict:
         "recosted": recosted,
         "replanned": replanned,
         "by_strategy": dict(by_strategy),
-        "by_engine": dict(by_engine),
     }
 
 

@@ -87,7 +87,6 @@ class AsyncServerConfig:
     strategy: str = "ea-prune"
     factor: float = 1.03
     cost_model: str = "cout"
-    engine: str = "indexed"
     cache_capacity: int = 512
     route_cache_capacity: int = 4096
     request_timeout_seconds: float = 120.0
@@ -179,7 +178,6 @@ class AsyncServerConfig:
             strategy=self.strategy,
             factor=self.factor,
             cost_model=self.cost_model,
-            engine=self.engine,
             workers=None,
             cache_capacity=self.cache_capacity,
             degradation=self.degradation,

@@ -330,7 +330,6 @@ class WorkerSupervisor:
             "strategy": config.strategy,
             "factor": config.factor,
             "cost_model": config.cost_model,
-            "engine": config.engine,
             "cache_capacity": config.cache_capacity,
             "request_timeout_seconds": config.request_timeout_seconds,
             "degradation": config.degradation,

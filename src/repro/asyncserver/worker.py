@@ -88,7 +88,6 @@ class ShardWorker:
             strategy=config.get("strategy", "ea-prune"),
             factor=config.get("factor", 1.03),
             cost_model=config.get("cost_model", "cout"),
-            engine=config.get("engine", "indexed"),
             cache_capacity=None,  # the shard cache is probed explicitly
             degradation=config.get("degradation", "heuristic"),
             snapshot_band_width=config.get("snapshot_band_width"),
@@ -138,7 +137,6 @@ class ShardWorker:
         self._recosted = 0
         self._replanned = 0
         self._by_strategy: Counter = Counter()
-        self._by_engine: Counter = Counter()
         self._executions: Counter = Counter()
         self._execution_rows = 0
         self._execution_seconds = 0.0
@@ -301,20 +299,7 @@ class ShardWorker:
                 self.cache.store(key, query, result, sql=sql, exact_snapshot=exact)
         self._served += 1
         self._by_strategy[result.strategy] += 1
-        self._by_engine[self._effective_engine(result)] += 1
         return result, config
-
-    @staticmethod
-    def _effective_engine(result) -> str:
-        """The driver code path that actually produced *result* (the
-        mirror of :func:`repro.server.service.effective_engine` — kept
-        local so the worker does not import the sync HTTP stack)."""
-        stats = result.stats or {}
-        if stats.get("engine_vectorized"):
-            return "vectorized"
-        if stats.get("engine_reference"):
-            return "reference"
-        return "indexed"
 
     # -- commands ------------------------------------------------------------
     def handle_optimize(self, body: dict, arrived: Optional[float] = None) -> Tuple[int, dict]:
@@ -549,7 +534,6 @@ class ShardWorker:
                 "recosted": self._recosted,
                 "replanned": self._replanned,
                 "by_strategy": dict(self._by_strategy),
-                "by_engine": dict(self._by_engine),
             },
             "executions": {
                 "count": sum(self._executions.values()),

@@ -1,10 +1,9 @@
 """Array-backend seam for the columnar executor.
 
-Mirrors the PR 6 pattern from :mod:`repro.hypergraph.vectorized`: numpy is
-an *accelerator*, never a dependency.  Every columnar code path has a
-pure-python fallback, selected automatically when numpy is missing or
-forced with ``REPRO_EXEC_FORCE_FALLBACK=1`` (the differential test suite
-runs both ways).
+numpy is an *accelerator*, never a dependency.  Every columnar code
+path has a pure-python fallback, selected automatically when numpy is
+missing or forced with ``REPRO_EXEC_FORCE_FALLBACK=1`` (the differential
+test suite runs both ways).
 
 Numeric columns are lowered to ``float64`` lanes.  IEEE-754 doubles make
 elementwise ``+ - * /`` and the six comparisons bit-identical to the

@@ -10,7 +10,7 @@ This is the paper's Fig. 5 skeleton with the eager-aggregation extensions:
 5. finalise plans for the full relation set (top grouping or Eqv.-42
    elimination) through ``InsertTopLevelPlan``.
 
-Three engines drive the same skeleton (see docs/architecture.md):
+Two engines drive the same skeleton (see docs/architecture.md):
 
 * ``engine="indexed"`` (default) — the hot path: iterative enumerator over
   the indexed/memoised hypergraph, per-edge join specs resolved through
@@ -21,26 +21,16 @@ Three engines drive the same skeleton (see docs/architecture.md):
   linear edge scans, uncached builder, unordered buckets), kept as the
   executable spec.  Golden tests assert the engines produce identical
   costs, ccp counts and table sizes; :mod:`benchmarks.bench_hotpath`
-  times the other engines against it,
-* ``engine="vectorized"`` — the array core
-  (:mod:`repro.optimizer.vectorized` over a batched
-  :class:`~repro.hypergraph.vectorized.VectorizedGraph`): numpy lanes
-  evaluate whole csg-cmp-pairs at once and plans materialise only when a
-  strategy actually keeps them.  Requires numpy (warns and falls back to
-  ``indexed`` without it, so :mod:`repro.server` stays stdlib-only) and
-  the built-in strategies/cost model (silent fallback otherwise, flagged
-  in ``stats``); the cross-engine differential suite asserts its output
-  is bit-identical.
+  times the indexed engine against it.
 
 The engine choice never changes optimizer *output* — it is part of
-:class:`~repro.optimizer.config.OptimizerConfig` for plumbing (CLI,
-server) but deliberately *not* part of the plan cache key.
+:class:`~repro.optimizer.config.OptimizerConfig` so tests and benchmarks
+can select the oracle, but deliberately *not* part of the plan cache key.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -48,10 +38,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import chaos
 from repro.algebra.expressions import conjunction
 from repro.conflict.detector import AnnotatedEdge, detect
-from repro.hypergraph import vectorized as vector_graph
 from repro.hypergraph.graph import Hypergraph
 from repro.hypergraph.enumerate import enumerate_ccps, enumerate_ccps_reference
-from repro.optimizer import vectorized as vector_core
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.deadline import Deadline, PlanningDeadlineExceeded
 from repro.optimizer.edgeindex import EdgeResolver, JoinSpec
@@ -182,13 +170,12 @@ def optimize(
     :class:`repro.service.cache.PlanCache`: hits return immediately
     (marked ``cache_hit=True``), misses are stored after optimization.
     *hooks* receive tracing callbacks (see :class:`OptimizerHooks`).
-    *engine* selects the hot path (``"indexed"``, the default), the seed
-    code path (``"reference"``) or the array core (``"vectorized"``);
-    ``None`` defers to ``config.engine``.  The result is identical
-    whichever engine runs.
+    *engine* selects the hot path (``"indexed"``, the default) or the seed
+    code path (``"reference"``); ``None`` defers to ``config.engine``.
+    The result is identical whichever engine runs.
 
     *deadline* arms a cooperative planning budget checked inside the DP
-    loop (all three engines share it); ``None`` defers to
+    loop (both engines share it); ``None`` defers to
     ``config.deadline_seconds``, measured from the start of this run.
     Cache hits are served before the budget is consulted.  On a blown
     budget, ``config.degradation`` picks between a heuristic fallback
@@ -272,26 +259,6 @@ def optimize(
     on_ccp = hooks.on_ccp if hooks is not None else None
     on_plan = hooks.on_plan if hooks is not None else None
 
-    # The vectorized engine needs numpy and the exact built-in strategy /
-    # cost-model arithmetic its lanes encode; anything else falls back to
-    # the indexed engine (the output is identical either way, so only the
-    # numpy case warrants a warning).
-    vec_engine = None
-    vec_fallback = None
-    if engine == "vectorized":
-        if not vector_core.numpy_available():
-            warnings.warn(
-                "engine='vectorized' requires numpy, which is not installed; "
-                "falling back to the indexed engine",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            vec_fallback = "no_numpy"
-        elif not vector_core.supports(chosen, cost_model, on_plan):
-            vec_fallback = "unsupported"
-        else:
-            vec_engine = vector_core.VectorEngine(builder, chosen, query)
-
     if reference:
         resolver = None
         resolve = partial(_resolve_edge, annotated, query)
@@ -299,10 +266,6 @@ def optimize(
     else:
         resolver = prepared.resolver()
         resolve = resolver.resolve
-        if vec_engine is not None and vector_graph.supports(graph):
-            # Batched neighborhood/connectivity lanes; shares the base
-            # graph's counters so the stats diffs below stay coherent.
-            graph = vector_graph.VectorizedGraph(graph)
         ccps = enumerate_ccps(graph)
 
     # Counter snapshots: graph/resolver/strategy objects may be shared
@@ -347,11 +310,6 @@ def optimize(
             right_bucket = table.get(right_set, ())
             if not left_bucket or not right_bucket:
                 continue
-            if vec_engine is not None:
-                plans_built += vec_engine.process_ccp(
-                    table, spec, left_set, right_set, all_mask
-                )
-                continue
             combined = left_set | right_set
             is_top = combined == all_mask
             bucket = table.get(combined)
@@ -390,17 +348,7 @@ def optimize(
     best = min(final, key=lambda p: p.cost)
     elapsed = time.perf_counter() - start
 
-    stats: Dict[str, int] = {
-        "engine_reference": 1 if reference else 0,
-        "engine_vectorized": 1 if vec_engine is not None else 0,
-    }
-    if vec_fallback is not None:
-        stats["vectorized.fallback"] = 1
-        stats[f"vectorized.{vec_fallback}"] = 1
-    if vec_engine is not None:
-        for name, value in vec_engine.counters.items():
-            if value:
-                stats[f"vectorized.{name}"] = value
+    stats: Dict[str, int] = {"engine_reference": 1 if reference else 0}
     for name, value in graph.counters.items():
         delta = value - graph_before.get(name, 0)
         if delta:

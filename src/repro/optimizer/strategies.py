@@ -185,18 +185,6 @@ def _fd_sig_of(plan: PlanInfo) -> _FdSignature:
     return sig
 
 
-def _fd_sig_dominates(a: _FdSignature, b: _FdSignature) -> bool:
-    if a is b:
-        # Identical keys/equiv/duplicate_free always FD-dominate themselves.
-        return True
-    key = (a.sig_id, b.sig_id)
-    verdict = _FD_VERDICTS.get(key)
-    if verdict is None:
-        verdict = _sig_fd_superset(a, b)
-        _FD_VERDICTS[key] = verdict
-    return verdict
-
-
 def _sig_fd_superset(a: _FdSignature, b: _FdSignature) -> bool:
     """:func:`_fd_superset` specialised to interned signatures: the
     equivalence-containment clause uses the attr→class maps (one lookup

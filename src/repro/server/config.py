@@ -60,7 +60,6 @@ class ServerConfig:
     strategy: str = "ea-prune"
     factor: float = 1.03
     cost_model: str = "cout"
-    engine: str = "indexed"
     cache_capacity: Optional[int] = 512
     request_timeout_seconds: float = 120.0
     drain_grace_seconds: float = 10.0
@@ -116,7 +115,6 @@ class ServerConfig:
             strategy=self.strategy,
             factor=self.factor,
             cost_model=self.cost_model,
-            engine=self.engine,
             workers=None,  # the server owns its own process pool
             cache_capacity=self.cache_capacity,
             degradation=self.degradation,

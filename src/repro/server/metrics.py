@@ -56,7 +56,6 @@ class ServerMetrics:
         self._recosted = 0
         self._replanned = 0
         self._by_strategy: Counter = Counter()
-        self._by_engine: Counter = Counter()
         self._executions: Counter = Counter()
         self._execution_rows = 0
         self._execution_seconds = 0.0
@@ -77,23 +76,15 @@ class ServerMetrics:
             stats.latencies_ms.append(elapsed_seconds * 1000.0)
 
     def record_plan(
-        self,
-        strategy: str,
-        cache_hit: bool,
-        engine: str = "indexed",
-        degraded: bool = False,
+        self, strategy: str, cache_hit: bool, degraded: bool = False
     ) -> None:
         """One successfully served plan (single or batch item).
 
-        *engine* is the driver code path that actually ran — for a
-        ``"vectorized"`` config that fell back (numpy missing, lane
-        support missing), the effective engine, not the requested one.
         *degraded* counts plans served as deadline-degraded heuristic
         fallbacks (HTTP 200, ``degraded: true``).
         """
         with self._lock:
             self._by_strategy[strategy] += 1
-            self._by_engine[engine] += 1
             if degraded:
                 self._degraded += 1
             if cache_hit:
@@ -170,7 +161,6 @@ class ServerMetrics:
                     "recosted": self._recosted,
                     "replanned": self._replanned,
                     "by_strategy": dict(self._by_strategy),
-                    "by_engine": dict(self._by_engine),
                 },
                 "executions": {
                     "count": executed,

@@ -46,22 +46,6 @@ from repro.service.revalidate import StaleRevalidator
 DEFAULT_EXECUTE_LIMIT = 1000
 
 
-def effective_engine(result: OptimizationResult) -> str:
-    """The driver code path that actually produced *result*.
-
-    Read from the run's stats flags, so a ``"vectorized"`` config that
-    silently fell back (numpy missing, unsupported strategy/cost model)
-    reports the engine that ran — cache hits keep the original run's
-    engine, which is what they cost to produce.
-    """
-    stats = result.stats or {}
-    if stats.get("engine_vectorized"):
-        return "vectorized"
-    if stats.get("engine_reference"):
-        return "reference"
-    return "indexed"
-
-
 class RequestError(Exception):
     """A request-scoped failure with an HTTP status and a stable code.
 
@@ -383,10 +367,7 @@ class PlanService:
             self.metrics.record_failure()
             raise RequestError(500, "optimizer_error", error)
         self.metrics.record_plan(
-            result.strategy,
-            result.cache_hit,
-            effective_engine(result),
-            degraded=result.degraded,
+            result.strategy, result.cache_hit, degraded=result.degraded
         )
         return result
 
@@ -551,10 +532,7 @@ class PlanService:
                 items[index] = item
                 continue
             self.metrics.record_plan(
-                result.strategy,
-                result.cache_hit or hit,
-                effective_engine(result),
-                degraded=result.degraded,
+                result.strategy, result.cache_hit or hit, degraded=result.degraded
             )
             item = {
                 "index": index,
@@ -646,11 +624,9 @@ class PlanService:
         """``GET /stats`` — request metrics merged with the plan cache's.
 
         Carries the same reporting surface as the async tier's
-        aggregated stats (``mode`` / ``shards`` / ``persistence`` /
-        ``engine``) so dashboards can scrape either without branching:
-        the sync tier is one unsharded in-process cache with no
-        persistence, and its effective-engine counts come from the same
-        :func:`effective_engine` classification the async workers use.
+        aggregated stats (``mode`` / ``shards`` / ``persistence``) so
+        dashboards can scrape either without branching: the sync tier is
+        one unsharded in-process cache with no persistence.
         """
         payload = self.metrics.snapshot()
         payload["mode"] = "sync"
@@ -661,10 +637,6 @@ class PlanService:
         payload["degradation"] = self.config.degradation
         payload["shards"] = 1
         payload["persistence"] = {"loaded": 0, "saved": 0, "rejected": 0}
-        payload["engine"] = {
-            "requested": self.config.engine,
-            "effective": payload["plans"]["by_engine"],
-        }
         cache = self.session.cache
         payload["cache"] = cache.describe() if cache is not None else None
         return payload

@@ -24,7 +24,7 @@ from repro.service.cache import PlanCache
 from repro.service.fingerprint import query_fingerprint
 from repro.workload import generate_query
 
-ENGINES = ("reference", "indexed", "vectorized")
+ENGINES = ("reference", "indexed")
 
 
 def _query(n=6, seed=7):

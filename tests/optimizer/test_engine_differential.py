@@ -1,6 +1,6 @@
-"""Cross-engine differential harness: indexed == reference == vectorized.
+"""Cross-engine differential harness: indexed == reference.
 
-The three driver engines are required to be *observationally identical*
+The two driver engines are required to be *observationally identical*
 — same best plan (shape and cost), same csg-cmp-pair emission order,
 same candidate counts — on every query.  This suite generates seeded
 workloads (the four classic topologies, cycle/clique floating closing
@@ -9,14 +9,11 @@ pairwise across every strategy and every EA-Prune pruning criteria.
 
 Two tiers: a ~50-case slice that runs in tier-1, and the exhaustive
 matrix marked ``slow`` (``--runslow`` / ``-m slow``; see
-tests/conftest.py).  The vectorized engine silently falls back to the
-indexed path for unsupported shapes — the fingerprints still must match,
-so fallback cases are covered rather than skipped.
+tests/conftest.py).
 """
 
 import random
 import re
-import warnings
 
 import pytest
 
@@ -25,7 +22,7 @@ from repro.optimizer.strategies import EaPruneStrategy
 from repro.plans.render import render_plan
 from repro.workload import generate_query, topology_query
 
-ENGINES = ("indexed", "reference", "vectorized")
+ENGINES = ("indexed", "reference")
 STRATEGIES = ("dphyp", "ea-prune", "h1", "h2")
 CRITERIA = ("full", "cost-card", "cost-only")
 
@@ -54,7 +51,7 @@ def run_engine(query, strategy, engine, factor=1.03):
     The fingerprint is everything the engines promise to agree on: the
     final plan's cost and rendered shape, the ccp emission order (via
     ``on_ccp``), and the candidate/table counts.  Engine-internal
-    counters (graph scans, lane statistics) legitimately differ and stay
+    counters (graph scans, resolver memo hits) legitimately differ and stay
     out.
     """
     ccps = []
@@ -62,11 +59,7 @@ def run_engine(query, strategy, engine, factor=1.03):
     config = OptimizerConfig(
         strategy=strategy, factor=factor, engine=engine, cache_capacity=None
     )
-    with warnings.catch_warnings():
-        # A numpy-less environment warns on vectorized fallback; the
-        # differential contract holds regardless.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = optimize(query, config=config)
+    result = optimize(query, config=config)
     return {
         "cost": result.cost,
         "plan": normalize_suffixes(render_plan(result.plan.node)),

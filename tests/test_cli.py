@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.__main__ import build_argument_parser, main
+from repro.__main__ import (
+    build_argument_parser,
+    build_batch_parser,
+    build_serve_parser,
+    main,
+)
+from repro.asyncserver.config import AsyncServerConfig
+from repro.server.config import ServerConfig
 
 SQL = (
     "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
@@ -20,6 +27,30 @@ class TestArgumentParser:
     def test_strategy_choices(self):
         with pytest.raises(SystemExit):
             build_argument_parser().parse_args(["--strategy", "magic", SQL])
+
+
+class TestNoServingEngineKnob:
+    """Serving has one engine, so no subcommand or server config offers a
+    choice; the reference oracle is reachable only through the library."""
+
+    @pytest.mark.parametrize(
+        "build_parser,argv",
+        [
+            (build_argument_parser, [SQL]),
+            (build_batch_parser, []),
+            (build_serve_parser, []),
+        ],
+        ids=["explain", "batch", "serve"],
+    )
+    def test_engine_option_rejected(self, build_parser, argv):
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--engine", "indexed", *argv])
+
+    @pytest.mark.parametrize("config_class", [ServerConfig, AsyncServerConfig])
+    def test_server_config_has_no_engine(self, config_class):
+        with pytest.raises(TypeError, match="engine"):
+            config_class(engine="indexed")
 
 
 class TestMain:
