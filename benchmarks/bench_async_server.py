@@ -53,7 +53,7 @@ if __name__ == "__main__":  # allow running without PYTHONPATH=src
 
 from repro.asyncserver import AsyncPlanServer, AsyncServerConfig, tune_gc_for_serving
 from repro.server.client import ServerClient
-from repro.server.metrics import percentile
+from repro.service.core import percentile
 
 SCHEMA = "bench-async-server/v1"
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_async.json"

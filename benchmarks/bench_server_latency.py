@@ -44,7 +44,7 @@ if __name__ == "__main__":  # allow running without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.server import PlanServer, ServerClient, ServerConfig
-from repro.server.metrics import percentile
+from repro.service.core import percentile
 
 SCHEMA = "bench-server/v1"
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_server.json"

@@ -41,7 +41,18 @@ from repro.asyncserver.supervisor import (
     WorkerSupervisor,
     WorkerUnavailable,
 )
-from repro.server.metrics import ServerMetrics
+from repro.service.core import (
+    ENDPOINTS,
+    RequestCounters,
+    RequestError,
+    ServerMetrics,
+    batch_report,
+    check_route,
+    decode_body,
+    require_queries,
+    require_sql,
+    stats_update_fields,
+)
 from repro.service.fingerprint import query_fingerprint, shard_for_fingerprint
 from repro.sql.binder import parse_query
 from repro.sql.catalog import Catalog
@@ -52,9 +63,12 @@ logger = logging.getLogger("repro.asyncserver")
 MAX_BODY_BYTES = 8 * 1024 * 1024
 MAX_HEADER_BYTES = 64 * 1024
 
-KNOWN_PATHS = frozenset(
-    {"/optimize", "/explain", "/batch", "/execute", "/healthz", "/stats", "/stats_update"}
-)
+#: endpoints planned on the shard owning the statement's fingerprint.
+PLAN_KINDS = {
+    "/optimize": frames.OPTIMIZE,
+    "/explain": frames.EXPLAIN,
+    "/execute": frames.EXECUTE,
+}
 
 _REASONS = {
     200: "OK",
@@ -67,19 +81,6 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
-
-
-class _HttpError(Exception):
-    """An error response with the sync tier's ``{"error": {...}}`` body."""
-
-    def __init__(self, status: int, code: str, message: str):
-        super().__init__(message)
-        self.status = status
-        self.code = code
-        self.message = message
-
-    def body_bytes(self) -> bytes:
-        return _error_bytes(self.code, self.message)
 
 
 def _error_bytes(code: str, message: str) -> bytes:
@@ -143,8 +144,7 @@ class AsyncPlanService:
     # -- routing -------------------------------------------------------------
     def route(self, sql) -> int:
         """The shard owning *sql*'s structural fingerprint."""
-        if not isinstance(sql, str) or not sql.strip():
-            raise _HttpError(400, "bad_request", "'sql' must be a non-empty string")
+        require_sql(sql)
         routes = self._routes
         shard = routes.get(sql)
         if shard is not None:
@@ -155,7 +155,7 @@ class AsyncPlanService:
         try:
             query = parse_query(sql, self.catalog)
         except ValueError as exc:
-            raise _HttpError(400, "parse_error", str(exc)) from exc
+            raise RequestError(400, "parse_error", str(exc)) from exc
         shard = shard_for_fingerprint(
             query_fingerprint(query), self.supervisor.shards
         )
@@ -167,9 +167,9 @@ class AsyncPlanService:
     # -- admission -----------------------------------------------------------
     def _admit(self) -> None:
         if self.draining:
-            raise _HttpError(503, "draining", "server is draining; retry elsewhere")
+            raise RequestError(503, "draining", "server is draining; retry elsewhere")
         if self.inflight >= self.config.effective_max_inflight:
-            raise _HttpError(
+            raise RequestError(
                 429,
                 "overloaded",
                 f"too many in-flight requests (limit {self.config.effective_max_inflight})",
@@ -188,8 +188,8 @@ class AsyncPlanService:
         started = time.perf_counter()
         try:
             status, payload = await self._route_request(method, path, body)
-        except _HttpError as error:
-            status, payload = error.status, error.body_bytes()
+        except RequestError as error:
+            status, payload = error.status, _error_bytes(error.code, error.message)
         except asyncio.CancelledError:
             raise
         except Exception as error:  # noqa: BLE001 - the front must not die
@@ -197,57 +197,29 @@ class AsyncPlanService:
             status, payload = 500, _error_bytes(
                 "internal", f"{type(error).__name__}: {error}"
             )
-        endpoint = path if path in KNOWN_PATHS else "<other>"
+        endpoint = path if path in ENDPOINTS else "<other>"
         self.metrics.record_request(endpoint, status, time.perf_counter() - started)
         return status, payload
 
     async def _route_request(self, method, path, body) -> Tuple[int, bytes]:
-        if path == "/optimize":
-            self._require(method, "POST", path)
-            return await self._plan_request(frames.OPTIMIZE, body)
-        if path == "/explain":
-            self._require(method, "POST", path)
-            return await self._plan_request(frames.EXPLAIN, body)
-        if path == "/execute":
-            self._require(method, "POST", path)
-            # Same fingerprint-routing as /optimize: the executing shard
-            # is the one whose cache shard owns the plan.
-            return await self._plan_request(frames.EXECUTE, body)
+        check_route(method, path)
+        if path in PLAN_KINDS:
+            # /execute routes like /optimize: the executing shard is the
+            # one whose cache shard owns the plan.
+            return await self._plan_request(PLAN_KINDS[path], body)
         if path == "/batch":
-            self._require(method, "POST", path)
             return await self._batch_request(body)
         if path == "/stats":
-            self._require(method, "GET", path)
             return 200, json.dumps(await self.stats_body()).encode("utf-8")
         if path == "/stats_update":
-            self._require(method, "POST", path)
             return await self._stats_update_request(body)
-        if path == "/healthz":
-            self._require(method, "GET", path)
-            status, payload = self.healthz_body()
-            return status, json.dumps(payload).encode("utf-8")
-        raise _HttpError(404, "not_found", f"no such endpoint: {path}")
-
-    @staticmethod
-    def _require(method: str, expected: str, path: str) -> None:
-        if method != expected:
-            raise _HttpError(
-                405, "method_not_allowed", f"{path} expects {expected}, got {method}"
-            )
-
-    def _parse_body(self, body: bytes) -> dict:
-        try:
-            payload = json.loads(body)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise _HttpError(400, "bad_json", f"invalid JSON body: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise _HttpError(400, "bad_json", "body must be a JSON object")
-        return payload
+        status, payload = self.healthz_body()
+        return status, json.dumps(payload).encode("utf-8")
 
     async def _plan_request(self, kind: int, body: bytes) -> Tuple[int, bytes]:
         self._admit()
         try:
-            payload = self._parse_body(body)
+            payload = decode_body(body)
             shard = self.route(payload.get("sql"))
             try:
                 # Hard (budget + grace) timeout: the worker's cooperative
@@ -259,7 +231,7 @@ class AsyncPlanService:
                 )
             except asyncio.TimeoutError:
                 self.supervisor.worker(shard).reap("request hard-timeout")
-                raise _HttpError(
+                raise RequestError(
                     504,
                     "timeout",
                     f"worker unresponsive past the "
@@ -267,33 +239,31 @@ class AsyncPlanService:
                     " — request abandoned",
                 ) from None
             except WorkerUnavailable as unavailable:
-                raise _HttpError(
+                raise RequestError(
                     503, "shard_unavailable", str(unavailable)
                 ) from unavailable
             except WorkerCrashed as crash:
-                raise _HttpError(500, "worker_pool_failure", str(crash)) from crash
+                raise RequestError(500, "worker_pool_failure", str(crash)) from crash
         finally:
             self._release()
 
     async def _batch_request(self, body: bytes) -> Tuple[int, bytes]:
         self._admit()
         try:
-            payload = self._parse_body(body)
-            queries = payload.get("queries")
-            if not isinstance(queries, list):
-                raise _HttpError(400, "bad_request", "'queries' must be a list")
+            payload = decode_body(body)
+            queries = require_queries(payload)
             started = time.perf_counter()
             front_items = []  # items answered without a worker (parse errors)
             per_shard: dict = {}
             for index, sql in enumerate(queries):
                 try:
                     shard = self.route(sql)
-                except _HttpError as error:
+                except RequestError as error:
                     front_items.append(
                         {"index": index, "error": error.message, "stage": "parse"}
                     )
                     continue
-                per_shard.setdefault(shard, []).append([index, sql])
+                per_shard.setdefault(shard, []).append(index)
 
             passthrough = {
                 key: payload[key]
@@ -301,9 +271,16 @@ class AsyncPlanService:
                 if key in payload
             }
 
-            async def one_shard(shard: int, chunk):
-                request = dict(passthrough)
-                request["queries"] = chunk
+            async def one_shard(shard: int, indices):
+                def failed(error: str, stage: str = "optimize", **extra):
+                    return [
+                        {"index": index, "error": error, "stage": stage, **extra}
+                        for index in indices
+                    ]
+
+                # A shard's slice is itself a /batch body; its items come
+                # back indexed by slice position.
+                request = dict(passthrough, queries=[queries[i] for i in indices])
                 try:
                     status, response = await self.supervisor.request(
                         shard,
@@ -313,56 +290,30 @@ class AsyncPlanService:
                     )
                 except asyncio.TimeoutError:
                     self.supervisor.worker(shard).reap("batch hard-timeout")
-                    return [
-                        {
-                            "index": index,
-                            "error": "worker timeout",
-                            "stage": "optimize",
-                            "timeout": True,
-                        }
-                        for index, _sql in chunk
-                    ]
+                    return failed("worker timeout", timeout=True)
                 except WorkerUnavailable as unavailable:
-                    return [
-                        {
-                            "index": index,
-                            "error": str(unavailable),
-                            "stage": "route",
-                        }
-                        for index, _sql in chunk
-                    ]
+                    return failed(str(unavailable), stage="route")
                 except WorkerCrashed:
-                    return [
-                        {
-                            "index": index,
-                            "error": "worker crashed while optimizing",
-                            "stage": "optimize",
-                        }
-                        for index, _sql in chunk
-                    ]
+                    return failed("worker crashed while optimizing")
+                body = json.loads(response)
                 if status != 200:
-                    detail = json.loads(response).get("error", {}).get("message", "")
-                    return [
-                        {"index": index, "error": detail, "stage": "optimize"}
-                        for index, _sql in chunk
-                    ]
-                return json.loads(response)["items"]
+                    error = body.get("error", {})
+                    if status < 500:
+                        # A rejected request (e.g. a bad override) is
+                        # rejected by every shard alike: fail it whole.
+                        raise RequestError(status, error.get("code"), error.get("message"))
+                    return failed(error.get("message", ""))
+                items = body["items"]
+                for item in items:
+                    item["index"] = indices[item["index"]]
+                return items
 
             shard_items = await asyncio.gather(
-                *(one_shard(shard, chunk) for shard, chunk in per_shard.items())
+                *(one_shard(shard, indices) for shard, indices in per_shard.items())
             )
             items = front_items + [item for chunk in shard_items for item in chunk]
             items.sort(key=lambda item: item["index"])
-            failed = sum(1 for item in items if "error" in item)
-            cache_hits = sum(1 for item in items if item.get("cache_hit"))
-            report = {
-                "total": len(items),
-                "succeeded": len(items) - failed,
-                "failed": failed,
-                "cache_hits": cache_hits,
-                "wall_seconds": time.perf_counter() - started,
-                "items": items,
-            }
+            report = batch_report(items, time.perf_counter() - started)
             return 200, json.dumps(report).encode("utf-8")
         finally:
             self._release()
@@ -379,9 +330,8 @@ class AsyncPlanService:
         error, since a half-applied drift would leave shards planning
         under different statistics.
         """
-        payload = self._parse_body(body)  # reject bad JSON before fan-out
-        if not isinstance(payload.get("table"), str):
-            raise _HttpError(400, "bad_request", "'table' must be a non-empty string")
+        payload = decode_body(body)
+        stats_update_fields(payload)  # reject a malformed drift before fan-out
         replies = await self.supervisor.broadcast(
             frames.STATS_UPDATE, json.dumps(payload).encode("utf-8")
         )
@@ -393,14 +343,14 @@ class AsyncPlanService:
             detail = json.loads(response)
             if status != 200:
                 error = detail.get("error", {})
-                raise _HttpError(
+                raise RequestError(
                     status,
                     error.get("code", "stats_update_failed"),
                     error.get("message", "shard rejected the statistics update"),
                 )
             shards.append(detail)
         if not shards:
-            raise _HttpError(503, "shard_unavailable", "no shard answered the update")
+            raise RequestError(503, "shard_unavailable", "no shard answered the update")
         merged = {
             key: shards[0].get(key)
             for key in (
@@ -456,8 +406,7 @@ class AsyncPlanService:
         payload["restarts"] = self.supervisor.total_restarts
         payload["supervision"] = self.supervisor.shard_states()
         payload["degradation"] = self.config.degradation
-        payload["plans"] = _merge_plans(details)
-        payload["executions"] = _merge_executions(details)
+        payload.update(RequestCounters.merge(details))
         payload["persistence"] = self.supervisor.persistence
         payload["cache"] = _merge_caches(details)
         payload["route_cache"] = {
@@ -486,57 +435,6 @@ class AsyncPlanService:
                 clean = False
         await self.supervisor.drain()
         return clean
-
-
-def _merge_plans(details) -> dict:
-    served = hits = misses = failures = degraded = timeouts = 0
-    stale_served = recosted = replanned = 0
-    by_strategy: Counter = Counter()
-    for detail in details:
-        plans = detail.get("plans", {})
-        served += plans.get("served", 0)
-        hits += plans.get("cache_hits", 0)
-        misses += plans.get("cache_misses", 0)
-        failures += plans.get("failures", 0)
-        degraded += plans.get("degraded", 0)
-        timeouts += plans.get("timeouts", 0)
-        stale_served += plans.get("stale_served", 0)
-        recosted += plans.get("recosted", 0)
-        replanned += plans.get("replanned", 0)
-        by_strategy.update(plans.get("by_strategy", {}))
-    return {
-        "served": served,
-        "cache_hits": hits,
-        "cache_misses": misses,
-        "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-        "failures": failures,
-        "degraded": degraded,
-        "timeouts": timeouts,
-        "stale_served": stale_served,
-        "recosted": recosted,
-        "replanned": replanned,
-        "by_strategy": dict(by_strategy),
-    }
-
-
-def _merge_executions(details) -> dict:
-    """Sum the shards' /execute counters (per-shard detail keeps the rest)."""
-    count = rows = 0
-    seconds = 0.0
-    by_executor: Counter = Counter()
-    for detail in details:
-        executions = detail.get("executions", {})
-        count += executions.get("count", 0)
-        rows += executions.get("rows_returned", 0)
-        seconds += executions.get("seconds_total", 0.0)
-        by_executor.update(executions.get("by_executor", {}))
-    return {
-        "count": count,
-        "by_executor": dict(by_executor),
-        "rows_returned": rows,
-        "seconds_total": seconds,
-        "mean_ms": (seconds / count) * 1000.0 if count else None,
-    }
 
 
 def _merge_caches(details) -> dict:
@@ -604,7 +502,7 @@ class _HttpConnection(asyncio.Protocol):
                 del self.buffer[: end + 4]
                 try:
                     self._head = self._parse_head(head)
-                except _HttpError as error:
+                except RequestError as error:
                     self._reject(error.status, error.code, error.message)
                     return
             method, path, length, close_after = self._head
@@ -626,11 +524,11 @@ class _HttpConnection(asyncio.Protocol):
         try:
             text = head.decode("latin-1")
         except UnicodeDecodeError as exc:  # pragma: no cover - latin-1 total
-            raise _HttpError(400, "bad_request", "undecodable head") from exc
+            raise RequestError(400, "bad_request", "undecodable head") from exc
         lines = text.split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) != 3:
-            raise _HttpError(400, "bad_request", f"malformed request line: {lines[0]!r}")
+            raise RequestError(400, "bad_request", f"malformed request line: {lines[0]!r}")
         method, target, version = parts
         length = 0
         connection = ""
@@ -643,9 +541,9 @@ class _HttpConnection(asyncio.Protocol):
                 try:
                     length = int(value.strip())
                 except ValueError:
-                    raise _HttpError(400, "bad_request", "bad Content-Length") from None
+                    raise RequestError(400, "bad_request", "bad Content-Length") from None
                 if length < 0:
-                    raise _HttpError(400, "bad_request", "bad Content-Length")
+                    raise RequestError(400, "bad_request", "bad Content-Length")
             elif name == "connection":
                 connection = value.strip().lower()
         close_after = connection == "close" or version == "HTTP/1.0"

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.optimizer.config import OptimizerConfig
+from repro.service.core import ServingConfig
 
 
 def default_shards() -> int:
@@ -33,7 +33,7 @@ def default_shards() -> int:
 
 
 @dataclass(frozen=True)
-class AsyncServerConfig:
+class AsyncServerConfig(ServingConfig):
     """Immutable async-tier settings.
 
     ``shards`` — worker processes, each owning one plan-cache shard
@@ -105,35 +105,18 @@ class AsyncServerConfig:
     default_executor: str = "columnar"
 
     def __post_init__(self) -> None:
-        if not (0 <= self.port <= 65535):
-            raise ValueError(f"port must be in [0, 65535] (0 = ephemeral), got {self.port}")
+        self._validate_common()
         if self.shards is not None and self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.scale_factor <= 0:
-            raise ValueError(f"scale_factor must be > 0, got {self.scale_factor}")
         if self.cache_capacity < 1:
             raise ValueError(f"cache_capacity must be >= 1, got {self.cache_capacity}")
         if self.route_cache_capacity < 1:
             raise ValueError(
                 f"route_cache_capacity must be >= 1, got {self.route_cache_capacity}"
             )
-        if self.request_timeout_seconds <= 0:
-            raise ValueError(
-                f"request_timeout_seconds must be > 0, got {self.request_timeout_seconds}"
-            )
         if self.worker_boot_seconds <= 0:
             raise ValueError(
                 f"worker_boot_seconds must be > 0, got {self.worker_boot_seconds}"
-            )
-        if self.drain_grace_seconds < 0:
-            raise ValueError(
-                f"drain_grace_seconds must be >= 0, got {self.drain_grace_seconds}"
-            )
-        if self.degradation not in ("heuristic", "error"):
-            raise ValueError(
-                f"degradation must be 'heuristic' or 'error', got {self.degradation!r}"
             )
         if self.revalidate_batch < 1:
             raise ValueError(
@@ -158,46 +141,6 @@ class AsyncServerConfig:
             raise ValueError(
                 f"breaker_cooldown_seconds must be >= 0, got {self.breaker_cooldown_seconds}"
             )
-        from repro.exec import EXECUTORS
-
-        if self.default_executor not in EXECUTORS:
-            raise ValueError(
-                f"default_executor must be one of {', '.join(EXECUTORS)}, "
-                f"got {self.default_executor!r}"
-            )
-        if self.dataset is not None:
-            from repro.data.provision import validate_dataset_spec
-
-            validate_dataset_spec(self.dataset)
-        # Validate the optimizer-facing fields eagerly, like everything else.
-        self.optimizer_config()
-
-    def optimizer_config(self) -> OptimizerConfig:
-        """The optimizer settings each worker shard plans under."""
-        return OptimizerConfig(
-            strategy=self.strategy,
-            factor=self.factor,
-            cost_model=self.cost_model,
-            workers=None,
-            cache_capacity=self.cache_capacity,
-            degradation=self.degradation,
-            snapshot_band_width=self.snapshot_band_width,
-            recost_bound=self.recost_bound,
-        )
-
-    @property
-    def hard_timeout_seconds(self) -> float:
-        """The front's hard wait before declaring a worker wedged.
-
-        Budget plus grace: the worker's cooperative deadline fires at
-        ``request_timeout_seconds`` and a degraded (or 504) response
-        travels back within the grace margin, so this expiring means the
-        worker is genuinely stuck (hung, not merely slow) and gets
-        killed for restart.
-        """
-        return self.request_timeout_seconds + max(
-            2.0, 0.25 * self.request_timeout_seconds
-        )
 
     @property
     def effective_shards(self) -> int:

@@ -21,6 +21,7 @@ restart happens.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import json
 import os
@@ -320,25 +321,12 @@ class WorkerSupervisor:
         self._persistence = {"loaded": 0, "saved": 0, "rejected": 0}
 
     def worker_config(self, shard: int) -> dict:
-        config = self.config
-        return {
-            "shard": shard,
-            "shards": self.shards,
-            "cache_dir": config.cache_dir,
-            "snapshot_path": config.shard_path(shard),
-            "scale_factor": config.scale_factor,
-            "strategy": config.strategy,
-            "factor": config.factor,
-            "cost_model": config.cost_model,
-            "cache_capacity": config.cache_capacity,
-            "request_timeout_seconds": config.request_timeout_seconds,
-            "degradation": config.degradation,
-            "recost_bound": config.recost_bound,
-            "revalidate_batch": config.revalidate_batch,
-            "snapshot_band_width": config.snapshot_band_width,
-            "dataset": config.dataset,
-            "default_executor": config.default_executor,
-        }
+        """The JSON config one worker boots from (see ``ShardWorker``)."""
+        config = dataclasses.asdict(self.config)
+        config.update(
+            shard=shard, shards=self.shards, snapshot_path=self.config.shard_path(shard)
+        )
+        return config
 
     def note_persistence(self, counters: Optional[dict]) -> None:
         if not counters:

@@ -5,11 +5,10 @@ system finally *accepts traffic*:
 
 * :mod:`repro.server.config` — :class:`ServerConfig`, the validated knobs,
 * :mod:`repro.server.service` — :class:`PlanService`, the HTTP-free
-  engine: session + process pool + bounded admission + metrics,
+  engine: the shared :class:`~repro.service.core.RequestCore` over a
+  session, plus process pool, bounded admission and drain,
 * :mod:`repro.server.app` — :class:`PlanServer`, the
   ``ThreadingHTTPServer`` front end with graceful drain,
-* :mod:`repro.server.metrics` — per-endpoint latency/error counters
-  behind ``GET /stats``,
 * :mod:`repro.server.client` — :class:`ServerClient`, the stdlib client
   the benchmark's closed-loop load generator (and the tests) drive.
 
@@ -20,8 +19,8 @@ Start one from the command line with ``python -m repro serve``; see
 from repro.server.app import PlanServer
 from repro.server.client import ServerClient, ServerError
 from repro.server.config import ServerConfig
-from repro.server.metrics import ServerMetrics
 from repro.server.service import PlanService, RequestError
+from repro.service.core import ServerMetrics
 
 __all__ = [
     "PlanServer",

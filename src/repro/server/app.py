@@ -34,17 +34,12 @@ from urllib.parse import urlsplit
 from repro.api.session import PlannerSession
 from repro.server.config import ServerConfig
 from repro.server.service import PlanService, RequestError
+from repro.service.core import ENDPOINTS, check_route, decode_body
 
 logger = logging.getLogger("repro.server")
 
 #: largest accepted request body; protects the JSON parser from abuse.
 MAX_BODY_BYTES = 8 * 1024 * 1024
-
-#: the routable paths; anything else is metered under one "<other>"
-#: bucket so arbitrary client paths cannot grow the metrics dict.
-KNOWN_PATHS = (
-    "/optimize", "/batch", "/explain", "/execute", "/stats", "/stats_update", "/healthz",
-)
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
@@ -90,10 +85,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
             status, payload = self._route(method, path, raw)
         except RequestError as error:
             status, payload = error.status, error.to_body()
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            status, payload = 400, {
-                "error": {"code": "bad_json", "message": f"invalid JSON body: {error}"}
-            }
         except ConnectionError:  # client went away mid-exchange
             return
         except Exception as error:  # noqa: BLE001 - the daemon must not die
@@ -103,7 +94,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
             }
         elapsed = time.perf_counter() - started
         self._send(status, payload)
-        metered_path = path if path in KNOWN_PATHS else "<other>"
+        # Unknown paths share one bucket: clients cannot grow the dict.
+        metered_path = path if path in ENDPOINTS else "<other>"
         self.service.metrics.record_request(f"{method} {metered_path}", status, elapsed)
         logger.info(
             "%s",
@@ -124,38 +116,25 @@ class _RequestHandler(BaseHTTPRequestHandler):
         )
 
     def _route(self, method: str, path: str, raw: bytes) -> Tuple[int, dict]:
+        check_route(method, path)
         service = self.service
-        if method == "GET":
-            if path == "/healthz":
-                return service.healthz_body()
-            if path == "/stats":
-                return 200, service.stats_body()
-            if path in ("/optimize", "/batch", "/explain", "/execute"):
-                raise RequestError(405, "method_not_allowed", f"POST {path} (not GET)")
-            raise RequestError(404, "not_found", f"unknown path {path!r}")
-        if method == "POST":
-            if path == "/optimize":
-                with service.admit():
-                    return 200, service.optimize_body(self._parse_json(raw))
-            if path == "/batch":
-                with service.admit():
-                    return 200, service.batch_body(self._parse_json(raw))
-            if path == "/explain":
-                with service.admit():
-                    return 200, service.explain_body(self._parse_json(raw))
-            if path == "/execute":
-                # Execution is CPU-bound in the request thread, so it
-                # takes an admission slot like optimization does.
-                with service.admit():
-                    return 200, service.execute_body(self._parse_json(raw))
-            if path == "/stats_update":
-                # Control-plane: applies a catalog delta without taking an
-                # admission slot — drift must land even under 429 pressure.
-                return 200, service.stats_update_body(self._parse_json(raw))
-            if path in ("/healthz", "/stats"):
-                raise RequestError(405, "method_not_allowed", f"GET {path} (not POST)")
-            raise RequestError(404, "not_found", f"unknown path {path!r}")
-        raise RequestError(405, "method_not_allowed", f"unsupported method {method}")
+        if path == "/healthz":
+            return service.healthz_body()
+        if path == "/stats":
+            return 200, service.stats_body()
+        if path == "/stats_update":
+            # Control-plane: applies a catalog delta without taking an
+            # admission slot — drift must land even under 429 pressure.
+            return 200, service.stats_update_body(decode_body(raw))
+        handler = {
+            "/optimize": service.optimize_body,
+            "/explain": service.explain_body,
+            "/execute": service.execute_body,
+            "/batch": service.batch_body,
+        }[path]
+        # Planning and execution are CPU-bound: each takes an admission slot.
+        with service.admit():
+            return 200, handler(decode_body(raw))
 
     def _read_body_bytes(self) -> bytes:
         try:
@@ -171,14 +150,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise RequestError(413, "too_large", f"body exceeds {MAX_BODY_BYTES} bytes")
         return self.rfile.read(length) if length > 0 else b""
-
-    def _parse_json(self, raw: bytes) -> dict:
-        if not raw:
-            raise RequestError(400, "bad_request", "POST body required (JSON object)")
-        body = json.loads(raw.decode("utf-8"))
-        if not isinstance(body, dict):
-            raise RequestError(400, "bad_request", "body must be a JSON object")
-        return body
 
     def _send(self, status: int, payload: dict) -> None:
         try:

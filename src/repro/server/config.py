@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.optimizer.config import OptimizerConfig
 from repro.service.batch import default_workers
+from repro.service.core import ServingConfig
 
 
 @dataclass(frozen=True)
-class ServerConfig:
+class ServerConfig(ServingConfig):
     """Immutable plan-server settings.
 
     ``workers`` — optimizer processes behind the HTTP threads.  ``None``
@@ -71,69 +71,13 @@ class ServerConfig:
     default_executor: str = "columnar"
 
     def __post_init__(self) -> None:
-        if not (0 <= self.port <= 65535):
-            raise ValueError(f"port must be in [0, 65535] (0 = ephemeral), got {self.port}")
+        self._validate_common()
         if self.workers is not None and self.workers < 0:
             raise ValueError(f"workers must be >= 0 (0 = in-thread), got {self.workers}")
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.scale_factor <= 0:
-            raise ValueError(f"scale_factor must be > 0, got {self.scale_factor}")
-        if self.request_timeout_seconds <= 0:
-            raise ValueError(
-                f"request_timeout_seconds must be > 0, got {self.request_timeout_seconds}"
-            )
-        if self.drain_grace_seconds < 0:
-            raise ValueError(
-                f"drain_grace_seconds must be >= 0, got {self.drain_grace_seconds}"
-            )
-        if self.degradation not in ("heuristic", "error"):
-            raise ValueError(
-                f"degradation must be 'heuristic' or 'error', got {self.degradation!r}"
-            )
         if self.revalidate_workers < 1:
             raise ValueError(
                 f"revalidate_workers must be >= 1, got {self.revalidate_workers}"
             )
-        from repro.exec import EXECUTORS
-
-        if self.default_executor not in EXECUTORS:
-            raise ValueError(
-                f"default_executor must be one of {', '.join(EXECUTORS)}, "
-                f"got {self.default_executor!r}"
-            )
-        if self.dataset is not None:
-            from repro.data.provision import validate_dataset_spec
-
-            validate_dataset_spec(self.dataset)
-        # Validate the optimizer-facing fields eagerly, like everything else.
-        self.optimizer_config()
-
-    def optimizer_config(self) -> OptimizerConfig:
-        """The session-level optimizer settings this server plans under."""
-        return OptimizerConfig(
-            strategy=self.strategy,
-            factor=self.factor,
-            cost_model=self.cost_model,
-            workers=None,  # the server owns its own process pool
-            cache_capacity=self.cache_capacity,
-            degradation=self.degradation,
-            snapshot_band_width=self.snapshot_band_width,
-            recost_bound=self.recost_bound,
-        )
-
-    @property
-    def hard_timeout_seconds(self) -> float:
-        """The hard wait on a worker before declaring it wedged (504).
-
-        The cooperative deadline inside the worker fires at
-        ``request_timeout_seconds``; the grace margin lets a degraded
-        (or 504-bound) answer travel back before the pool wait gives up,
-        so the hard timeout only triggers for genuinely stuck workers.
-        """
-        return self.request_timeout_seconds + max(
-            2.0, 0.25 * self.request_timeout_seconds
-        )
 
     @property
     def effective_workers(self) -> int:

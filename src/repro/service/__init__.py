@@ -11,7 +11,10 @@ needs on top of that function:
   hit/miss/eviction statistics and catalog-change invalidation,
 * :mod:`repro.service.batch` — :func:`optimize_many`, the parallel
   workload driver that dedups, caches and fans misses out over worker
-  processes while streaming results back in order.
+  processes while streaming results back in order,
+* :mod:`repro.service.core` — :class:`~repro.service.core.RequestCore`,
+  the one request path both serving tiers host (imported directly, not
+  re-exported here).
 
 See ``docs/architecture.md`` for how this layer composes with the
 paper-reproduction pipeline.

@@ -59,7 +59,8 @@ def run_engine(query, strategy, engine, factor=1.03):
     config = OptimizerConfig(
         strategy=strategy, factor=factor, engine=engine, cache_capacity=None
     )
-    result = optimize(query, config=config)
+    result = optimize(query, config=config, hooks=hooks)
+    assert ccps, "the on_ccp hook never fired"
     return {
         "cost": result.cost,
         "plan": normalize_suffixes(render_plan(result.plan.node)),

@@ -8,6 +8,7 @@ refresh guard, banded-key migration through the
 
 import json
 import pickle
+import time
 
 import pytest
 
@@ -367,8 +368,13 @@ class TestStaleRevalidator:
         revalidator.subscribe()
         try:
             drift(self.catalog, "supplier", 1.5)
-            # The kick is asynchronous; drain synchronously for determinism.
+            # The kick drains in the background and may claim the entry
+            # first; drain here too, then wait for whichever drain holds
+            # the claim to finish it.
             revalidator.drain()
+            deadline = time.monotonic() + 10.0
+            while self.cache.stale_count() and time.monotonic() < deadline:
+                time.sleep(0.01)
             assert self.cache.entry_state(self.post_drift_key()) == FRESH
             assert self.cache.stats.refreshed == 1
             assert self.cache.stale_count() == 0

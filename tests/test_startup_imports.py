@@ -1,7 +1,8 @@
-"""Planning-only processes stay numpy-free.
+"""Planning-only processes stay numpy-free; shard workers stay HTTP-free.
 
 numpy accelerates the columnar executor and nothing else, so the CLI and
 both server tiers must be able to start and plan without importing it.
+A shard worker needs the request core, not the threaded HTTP server.
 The checks run in a fresh interpreter: this test process has long since
 imported numpy through other suites.
 """
@@ -92,3 +93,13 @@ def test_cli_plans_with_numpy_blocked(capsys):
     assert main([SQL]) == 0
     # Same plan and cost as in this process; only the timing differs.
     assert _untimed(out.stdout) == _untimed(capsys.readouterr().out)
+
+
+def test_shard_worker_does_not_import_the_threaded_server():
+    """Shard workers host the request core, never the sync HTTP stack."""
+    out = _run(
+        "import sys, repro.asyncserver.worker\n"
+        "print(sorted(m for m in ('http.server', 'repro.server') if m in sys.modules))"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
